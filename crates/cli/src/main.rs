@@ -480,7 +480,7 @@ fn cmd_bench(parsed: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     for (name, ns) in stats.stages.iter() {
-        eprintln!("    {name:<9} {:>10.1} ms", ns as f64 / 1e6);
+        eprintln!("    {name:<11} {:>10.1} ms", ns as f64 / 1e6);
     }
     eprintln!("  stage speedups (1 → {n_workers} threads):");
     for s in &stages {

@@ -24,12 +24,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use nimage_compiler::CompiledProgram;
 use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_image::BinaryImage;
+use nimage_ir::Program;
 use nimage_order::murmur3;
 use nimage_vm::{HeapTemplate, LoweredProgram, RunReport};
 
 use nimage_analysis::Reachability;
 
 use crate::{LayoutOrders, ProfiledArtifacts};
+
+/// MurmurHash3 seed of the content fingerprints (`"nimage"`).
+const KEY_SEED: u64 = 0x6e69_6d61_6765;
 
 /// A 128-bit content fingerprint / cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,7 +50,21 @@ impl CacheKey {
         buf.push_str(tag);
         buf.push('\u{1f}');
         let _ = write!(buf, "{value:?}");
-        let (a, b) = murmur3::hash128(buf.as_bytes(), 0x6e69_6d61_6765 /* "nimage" */);
+        let (a, b) = murmur3::hash128(buf.as_bytes(), KEY_SEED);
+        CacheKey(a, b)
+    }
+
+    /// Fingerprints a program through its canonical binary encoding
+    /// (classes, fields, methods down to every instruction, selectors,
+    /// entry and resources), hashed with MurmurHash3 (x64, 128-bit) —
+    /// the structural-hash rule the paper applies to heap objects, here
+    /// applied to the workload's own cache key. Programs with equal
+    /// content get equal keys in every process.
+    pub fn of_program(program: &Program) -> CacheKey {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"program\x1f");
+        crate::persist::encode_program(&mut buf, program);
+        let (a, b) = murmur3::hash128(&buf, KEY_SEED);
         CacheKey(a, b)
     }
 

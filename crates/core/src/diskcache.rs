@@ -47,7 +47,12 @@ use crate::ProfiledArtifacts;
 /// any codec, or the semantics of a persisted stage change; old entries
 /// are invisible to the new version (they live under the old `v<N>`
 /// directory) and get removed by `nimage cache clear`.
-pub const DISK_FORMAT_VERSION: u32 = 3;
+///
+/// Version 4 keys every workload by [`CacheKey::of_program`], the digest of
+/// the program's canonical binary encoding, instead of hashing its
+/// `Debug` rendering. Every base key changed with it, so entries keyed the
+/// old way stay in `v3/` instead of mixing with the new ones.
+pub const DISK_FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 4] = b"NIMC";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

@@ -53,15 +53,26 @@ use crate::{
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Nanoseconds per stage, parallel to [`StageTimes::NAMES`].
-    pub ns: [u64; 9],
+    pub ns: [u64; 10],
 }
 
 impl StageTimes {
     /// Stage names, parallel to [`StageTimes::ns`], in pipeline order.
     /// These are exactly the span names the engine records, so a stage's
     /// entry here equals the summed exclusive time of its spans.
-    pub const NAMES: [&'static str; 9] = [
-        "analyze", "compile", "snapshot", "lower", "replay", "order", "optimize", "layout", "run",
+    /// `fingerprint` is the per-workload cache-key computation that
+    /// precedes every other stage.
+    pub const NAMES: [&'static str; 10] = [
+        "fingerprint",
+        "analyze",
+        "compile",
+        "snapshot",
+        "lower",
+        "replay",
+        "order",
+        "optimize",
+        "layout",
+        "run",
     ];
 
     /// `(name, nanoseconds)` pairs in pipeline order.
@@ -225,9 +236,13 @@ struct Ctx<'p, 's> {
 }
 
 impl<'p, 's> Ctx<'p, 's> {
-    fn new(spec: &'s WorkloadSpec<'p>) -> Ctx<'p, 's> {
+    /// Computes the workload's base key inside a `fingerprint` span. The
+    /// key is recomputed on every call, never cached on the program: a
+    /// rebuild in a fresh process pays this cost every time.
+    fn new(spec: &'s WorkloadSpec<'p>, tracer: &Tracer) -> Ctx<'p, 's> {
+        let _s = tracer.root_span("fingerprint", || format!("workload={}", spec.name));
         let parts = [
-            CacheKey::of_debug("program", spec.program),
+            CacheKey::of_program(spec.program),
             CacheKey::of_debug("options", &spec.opts),
             CacheKey::of_debug("stop", &spec.stop),
         ];
@@ -424,7 +439,7 @@ impl Engine {
         specs: &[WorkloadSpec<'p>],
         strategies: &[Strategy],
     ) -> Result<Vec<MatrixCell>, PipelineError> {
-        let ctxs: Vec<Ctx<'p, '_>> = specs.iter().map(Ctx::new).collect();
+        let ctxs: Vec<Ctx<'p, '_>> = specs.iter().map(|s| Ctx::new(s, &self.tracer)).collect();
         let jobs: Vec<(usize, usize)> = (0..specs.len())
             .flat_map(|wi| (0..strategies.len()).map(move |si| (wi, si)))
             .collect();
@@ -507,7 +522,7 @@ impl Engine {
         &self,
         spec: &WorkloadSpec<'_>,
     ) -> Result<Arc<ProfiledArtifacts>, PipelineError> {
-        self.profiled(&Ctx::new(spec))
+        self.profiled(&Ctx::new(spec, &self.tracer))
     }
 
     /// Builds the fully instrumented image ([`InstrumentConfig::FULL`])
@@ -517,7 +532,7 @@ impl Engine {
     /// # Errors
     /// Propagates pipeline failures.
     pub fn instrumented_parts(&self, spec: &WorkloadSpec<'_>) -> Result<BuildParts, PipelineError> {
-        let ctx = Ctx::new(spec);
+        let ctx = Ctx::new(spec, &self.tracer);
         let p = ctx.pipeline();
         let reach = self.reach(&ctx, &p);
         let compiled = self.instrumented_compiled(&ctx, &p, &reach);
@@ -556,7 +571,7 @@ impl Engine {
         req: &BuildRequest<'_, '_, '_>,
     ) -> Result<BuildParts, PipelineError> {
         let (spec, artifacts, strategy) = (req.spec, req.artifacts, req.strategy);
-        let ctx = Ctx::new(spec);
+        let ctx = Ctx::new(spec, &self.tracer);
         let p = ctx.pipeline();
         let reach = self.reach(&ctx, &p);
         let compiled = self.optimized_compiled(&ctx, &p, &reach, artifacts);
@@ -677,7 +692,7 @@ impl Engine {
         if !strategy.clustered() {
             return Ok(None);
         }
-        let ctx = Ctx::new(spec);
+        let ctx = Ctx::new(spec, &self.tracer);
         let p = ctx.pipeline();
         let reach = self.reach(&ctx, &p);
         let compiled = self.optimized_compiled(&ctx, &p, &reach, artifacts);

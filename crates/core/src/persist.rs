@@ -26,7 +26,10 @@ use nimage_heap::{
     BuildHeap, HObject, HObjectKind, HValue, HeapSnapshot, InclusionReason, ObjId, ParentLink,
     SnapEntry,
 };
-use nimage_ir::{BinOp, ClassId, FieldId, Intrinsic, Local, MethodId, SelectorId, TypeRef, UnOp};
+use nimage_ir::{
+    BinOp, Block, Callee, Class, ClassId, Field, FieldId, Instr, Intrinsic, Local, Method,
+    MethodId, MethodKind, Program, Resource, SelectorId, Terminator, TypeRef, UnOp,
+};
 use nimage_order::{CodeOrderProfile, HeapOrderProfile, HeapStrategy, PredictedFaults};
 use nimage_vm::lower::{
     JumpEdge, LoweredCallee, LoweredInstr, LoweredMethod, LoweredPaths, PathEdge,
@@ -1202,6 +1205,276 @@ impl DiskCodec for LoweredShard {
             paths.push((mi, decode_lowered_paths(r)?));
         }
         Some(LoweredShard { cu, methods, paths })
+    }
+}
+
+// --- Program key -----------------------------------------------------------
+// The canonical encoding `CacheKey::of_program` hashes: classes, fields,
+// methods (every block, instruction and terminator), selectors, the entry
+// and the resources, each sequence length-prefixed and in id order. It is
+// encode-only: nothing ever decodes it. The IR structs are destructured
+// exhaustively, so a new IR field fails to compile here until the key
+// covers it. `Program`'s `selector_map` and `class_map` are left out:
+// `ProgramBuilder` derives them from `selectors` and `classes`.
+
+/// Appends the canonical encoding of `program` to `out`.
+pub(crate) fn encode_program(out: &mut Vec<u8>, program: &Program) {
+    put_u32(out, program.classes().len() as u32);
+    for class in program.classes() {
+        encode_class(out, class);
+    }
+    put_u32(out, program.fields().len() as u32);
+    for field in program.fields() {
+        encode_field(out, field);
+    }
+    put_u32(out, program.methods().len() as u32);
+    for method in program.methods() {
+        encode_method(out, method);
+    }
+    put_u32(out, program.selectors().len() as u32);
+    for s in program.selectors() {
+        put_string(out, s);
+    }
+    encode_option(out, &program.entry, |m, out| put_u32(out, m.0));
+    put_u32(out, program.resources.len() as u32);
+    for Resource { name, size } in &program.resources {
+        put_string(out, name);
+        put_u32(out, *size);
+    }
+}
+
+fn encode_class(out: &mut Vec<u8>, class: &Class) {
+    let Class {
+        name,
+        superclass,
+        instance_fields,
+        static_fields,
+        methods,
+        clinit,
+        init_group,
+    } = class;
+    put_string(out, name);
+    encode_option(out, superclass, |c, out| put_u32(out, c.0));
+    encode_u32_seq(out, instance_fields.iter().map(|f| f.0));
+    encode_u32_seq(out, static_fields.iter().map(|f| f.0));
+    encode_u32_seq(out, methods.iter().map(|m| m.0));
+    encode_option(out, clinit, |m, out| put_u32(out, m.0));
+    put_u32(out, *init_group);
+}
+
+fn encode_field(out: &mut Vec<u8>, field: &Field) {
+    let Field {
+        name,
+        owner,
+        ty,
+        is_static,
+    } = field;
+    put_string(out, name);
+    put_u32(out, owner.0);
+    encode_type_ref(out, ty);
+    out.push(u8::from(*is_static));
+}
+
+fn encode_method(out: &mut Vec<u8>, method: &Method) {
+    let Method {
+        name,
+        owner,
+        kind,
+        params,
+        ret,
+        n_locals,
+        blocks,
+        selector,
+    } = method;
+    put_string(out, name);
+    put_u32(out, owner.0);
+    out.push(match kind {
+        MethodKind::Static => 0,
+        MethodKind::Virtual => 1,
+        MethodKind::ClassInit => 2,
+    });
+    put_u32(out, params.len() as u32);
+    for p in params {
+        encode_type_ref(out, p);
+    }
+    encode_option(out, ret, |t, out| encode_type_ref(out, t));
+    put_u32(out, u32::from(*n_locals));
+    put_u32(out, blocks.len() as u32);
+    for Block { instrs, terminator } in blocks {
+        put_u32(out, instrs.len() as u32);
+        for ins in instrs {
+            encode_instr(out, ins);
+        }
+        encode_terminator(out, terminator);
+    }
+    put_u32(out, selector.0);
+}
+
+fn encode_callee(out: &mut Vec<u8>, callee: &Callee) {
+    match callee {
+        Callee::Static(m) => {
+            out.push(0);
+            put_u32(out, m.0);
+        }
+        Callee::Virtual { declared, selector } => {
+            out.push(1);
+            put_u32(out, declared.0);
+            put_u32(out, selector.0);
+        }
+    }
+}
+
+fn encode_instr(out: &mut Vec<u8>, ins: &Instr) {
+    match ins {
+        Instr::ConstInt(d, v) => {
+            out.push(0);
+            put_local(out, *d);
+            put_u64(out, *v as u64);
+        }
+        Instr::ConstDouble(d, v) => {
+            out.push(1);
+            put_local(out, *d);
+            put_u64(out, v.to_bits());
+        }
+        Instr::ConstBool(d, v) => {
+            out.push(2);
+            put_local(out, *d);
+            out.push(u8::from(*v));
+        }
+        Instr::ConstStr(d, s) => {
+            out.push(3);
+            put_local(out, *d);
+            put_string(out, s);
+        }
+        Instr::ConstNull(d) => {
+            out.push(4);
+            put_local(out, *d);
+        }
+        Instr::Move(d, s) => {
+            out.push(5);
+            put_local(out, *d);
+            put_local(out, *s);
+        }
+        Instr::Bin(op, d, a, b) => {
+            out.push(6);
+            out.push(bin_op_tag(*op));
+            put_local(out, *d);
+            put_local(out, *a);
+            put_local(out, *b);
+        }
+        Instr::Un(op, d, a) => {
+            out.push(7);
+            out.push(un_op_tag(*op));
+            put_local(out, *d);
+            put_local(out, *a);
+        }
+        Instr::New(d, c) => {
+            out.push(8);
+            put_local(out, *d);
+            put_u32(out, c.0);
+        }
+        Instr::NewArray(d, ty, len) => {
+            out.push(9);
+            put_local(out, *d);
+            encode_type_ref(out, ty);
+            put_local(out, *len);
+        }
+        Instr::GetField(d, obj, f) => {
+            out.push(10);
+            put_local(out, *d);
+            put_local(out, *obj);
+            put_u32(out, f.0);
+        }
+        Instr::PutField(obj, f, s) => {
+            out.push(11);
+            put_local(out, *obj);
+            put_u32(out, f.0);
+            put_local(out, *s);
+        }
+        Instr::GetStatic(d, f) => {
+            out.push(12);
+            put_local(out, *d);
+            put_u32(out, f.0);
+        }
+        Instr::PutStatic(f, s) => {
+            out.push(13);
+            put_u32(out, f.0);
+            put_local(out, *s);
+        }
+        Instr::ArrayGet(d, arr, i) => {
+            out.push(14);
+            put_local(out, *d);
+            put_local(out, *arr);
+            put_local(out, *i);
+        }
+        Instr::ArraySet(arr, i, s) => {
+            out.push(15);
+            put_local(out, *arr);
+            put_local(out, *i);
+            put_local(out, *s);
+        }
+        Instr::ArrayLen(d, arr) => {
+            out.push(16);
+            put_local(out, *d);
+            put_local(out, *arr);
+        }
+        Instr::StrLen(d, s) => {
+            out.push(17);
+            put_local(out, *d);
+            put_local(out, *s);
+        }
+        Instr::StrCharAt(d, s, i) => {
+            out.push(18);
+            put_local(out, *d);
+            put_local(out, *s);
+            put_local(out, *i);
+        }
+        Instr::StrConcat(d, a, b) => {
+            out.push(19);
+            put_local(out, *d);
+            put_local(out, *a);
+            put_local(out, *b);
+        }
+        Instr::Call { dst, callee, args } => {
+            out.push(20);
+            encode_opt_local(out, dst);
+            encode_callee(out, callee);
+            encode_locals(out, args);
+        }
+        Instr::Intrinsic { dst, op, args } => {
+            out.push(21);
+            encode_opt_local(out, dst);
+            out.push(intrinsic_tag(*op));
+            encode_locals(out, args);
+        }
+        Instr::Spawn { method, args } => {
+            out.push(22);
+            put_u32(out, method.0);
+            encode_locals(out, args);
+        }
+    }
+}
+
+fn encode_terminator(out: &mut Vec<u8>, t: &Terminator) {
+    match t {
+        Terminator::Ret(v) => {
+            out.push(0);
+            encode_opt_local(out, v);
+        }
+        Terminator::Jump(b) => {
+            out.push(1);
+            put_u32(out, b.0);
+        }
+        Terminator::Br {
+            cond,
+            then_blk,
+            else_blk,
+        } => {
+            out.push(2);
+            put_local(out, *cond);
+            put_u32(out, then_blk.0);
+            put_u32(out, else_blk.0);
+        }
     }
 }
 

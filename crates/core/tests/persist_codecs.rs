@@ -1,16 +1,19 @@
 //! Property tests for the fine-grained disk codecs: the compiled program
 //! and the heap snapshot must round-trip bit-exactly through their
-//! `DiskCodec` encodings for any pipeline-producible artifact, and the
-//! decoders must be total — arbitrary or truncated bytes are rejected,
+//! `DiskCodec` encodings for any pipeline-producible artifact, and every
+//! decoder must be total — arbitrary or truncated bytes are rejected,
 //! never a panic or an oversized allocation.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use nimage_compiler::{CompiledProgram, InstrumentConfig};
+use nimage_compiler::{CompiledProgram, CuId, InstrumentConfig};
 use nimage_core::diskcache::Reader;
-use nimage_core::{BuildOptions, DiskCodec, Pipeline, ProfiledArtifacts};
-use nimage_heap::HeapSnapshot;
+use nimage_core::{BuildOptions, DiskCodec, LayoutOrders, Pipeline, ProfiledArtifacts};
+use nimage_heap::{HeapSnapshot, ObjId};
 use nimage_ir::{Program, ProgramBuilder, TypeRef};
+use nimage_vm::{LoweredShard, RunReport, SectionFaults};
 
 /// A small synthetic program family parameterized enough to vary CU
 /// counts, inline trees, array contents and interned strings.
@@ -165,16 +168,70 @@ proptest! {
         let _ = CompiledProgram::decode(&mut Reader::new(&bytes));
         let _ = HeapSnapshot::decode(&mut Reader::new(&bytes));
         let _ = ProfiledArtifacts::decode(&mut Reader::new(&bytes));
+        let _ = LoweredShard::decode(&mut Reader::new(&bytes));
+        let _ = LayoutOrders::decode(&mut Reader::new(&bytes));
+        let _ = RunReport::decode(&mut Reader::new(&bytes));
+        let _ = SectionFaults::decode(&mut Reader::new(&bytes));
+        let _ = HashMap::<ObjId, u64>::decode(&mut Reader::new(&bytes));
     }
+}
+
+/// `prefix` (the bytes in front of a codec's first length field), then a
+/// length claiming ~4 Gi elements, then a few bytes of payload.
+fn huge_length_after(prefix: &[u8]) -> Vec<u8> {
+    let mut bytes = prefix.to_vec();
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 64]);
+    bytes
 }
 
 /// The regression the clamp exists for: a length prefix claiming ~4 Gi
 /// elements over a tiny buffer must fail fast instead of pre-allocating.
 #[test]
 fn huge_length_prefixes_fail_fast() {
-    let mut bytes = u32::MAX.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&[0u8; 64]);
+    let bytes = huge_length_after(&[]);
     assert!(CompiledProgram::decode(&mut Reader::new(&bytes)).is_none());
     assert!(HeapSnapshot::decode(&mut Reader::new(&bytes)).is_none());
     assert!(ProfiledArtifacts::decode(&mut Reader::new(&bytes)).is_none());
+    assert!(HashMap::<ObjId, u64>::decode(&mut Reader::new(&bytes)).is_none());
+    // A shard's first length (its method count) follows its CU index.
+    let bytes = huge_length_after(&[0; 4]);
+    assert!(LoweredShard::decode(&mut Reader::new(&bytes)).is_none());
+    // `Some` tag, then the CU order's length.
+    let bytes = huge_length_after(&[1]);
+    assert!(LayoutOrders::decode(&mut Reader::new(&bytes)).is_none());
+    // ops, probe ops, faults and a `None` first response (33 bytes), then
+    // the call-count CSV's length.
+    let bytes = huge_length_after(&[0; 33]);
+    assert!(RunReport::decode(&mut Reader::new(&bytes)).is_none());
+    // Section faults are two fixed-width counters with no length field:
+    // one byte short of them is the only way to fail.
+    assert!(SectionFaults::decode(&mut Reader::new(&[0; 15])).is_none());
+}
+
+/// Structure-aware totality: a well-formed `LayoutOrders` encoding whose
+/// CU or native-tail order has one id pushed out of range is not a
+/// permutation, and the image builder would index-panic on it, so it must
+/// decode to `None`.
+#[test]
+fn layout_orders_with_an_out_of_range_id_decode_to_none() {
+    let valid = LayoutOrders {
+        cu_order: Some(vec![CuId(2), CuId(0), CuId(1)]),
+        object_order: Some(vec![ObjId(7), ObjId(3)]),
+        native_order: Some(vec![1, 0]),
+        predicted: None,
+    };
+    let decode = |orders: &LayoutOrders| {
+        let mut buf = Vec::new();
+        orders.encode(&mut buf);
+        LayoutOrders::decode(&mut Reader::new(&buf))
+    };
+    assert_eq!(decode(&valid), Some(valid.clone()));
+
+    let mut cu_out = valid.clone();
+    cu_out.cu_order = Some(vec![CuId(3), CuId(0), CuId(1)]);
+    assert_eq!(decode(&cu_out), None);
+    let mut native_out = valid.clone();
+    native_out.native_order = Some(vec![2, 0]);
+    assert_eq!(decode(&native_out), None);
 }

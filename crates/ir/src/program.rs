@@ -123,9 +123,11 @@ pub struct Program {
     pub(crate) fields: Vec<Field>,
     pub(crate) methods: Vec<Method>,
     pub(crate) selectors: Vec<String>,
-    // BTreeMaps, not HashMaps: the derived `Debug` rendering doubles as the
-    // program's content fingerprint for the (disk-persisted) artifact cache,
-    // so its iteration order must be stable across processes.
+    // Name lookups derived from `selectors` and `classes` by
+    // `ProgramBuilder`; the program's cache key (`CacheKey::of_program` in
+    // `nimage-core`) therefore encodes those vectors and leaves these maps
+    // out. BTreeMaps keep the derived `Debug` rendering stable across
+    // processes.
     pub(crate) selector_map: BTreeMap<String, SelectorId>,
     pub(crate) class_map: BTreeMap<String, ClassId>,
     /// Program entry point (a static method), if set.
